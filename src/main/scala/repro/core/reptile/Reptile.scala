@@ -4,17 +4,17 @@ import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.fmatrix.FactorizedMatrix
 import repro.core.frep.HierRelation
-import repro.core.model.{FactorizedBackend, DenseBackend, LinearModel, MLBackend, MultiLevelEM}
+import repro.core.model.{FactorizedBackend, LinearModel, MLBackend, MultiLevelEM}
 
 /** A hierarchical dimension: attributes ordered least to most specific. */
 final case class Dimension(name: String, attrs: Vector[String])
 
 /** Which group statistic a model predicts. */
-sealed trait StatKind { def col: String; def name: String }
+sealed trait StatKind { def col: String; def name: String; def of(g: GroupStats): Double }
 object StatKind {
-  case object CountStat extends StatKind { val col = "stat_count"; val name = "count" }
-  case object MeanStat  extends StatKind { val col = "stat_mean";  val name = "mean"  }
-  case object SumStat   extends StatKind { val col = "stat_sum";   val name = "sum"   }
+  case object CountStat extends StatKind { val col = "stat_count"; val name = "count"; def of(g: GroupStats) = g.count }
+  case object MeanStat  extends StatKind { val col = "stat_mean";  val name = "mean";  def of(g: GroupStats) = g.mean  }
+  case object SumStat   extends StatKind { val col = "stat_sum";   val name = "sum";   def of(g: GroupStats) = g.sum   }
 }
 
 final case class ReptileConfig(
@@ -65,12 +65,23 @@ final case class DimRankResult(
   def best: Candidate = ranked.head
 }
 
+/** The non-empty drill-down groups of some hierarchies: `observed` keys
+  * each group's statistics by its values of `attrs` (hierarchy by
+  * hierarchy), and each relation of `hiers` projects those keys.
+  */
+final case class Groups(
+    hiers: Vector[HierRelation],
+    attrs: Vector[String],
+    observed: Map[Vector[String], GroupStats],
+)
+
 /** The complaint-based drill-down engine (Problem 1).
   *
-  * Data-side work (drill-down group statistics over all parallel groups,
-  * main-effect featurization, hierarchy relation extraction) runs as Spark
-  * DataFrame aggregation jobs; the multi-level model is then trained on
-  * the driver over the factorised representation of the feature matrix.
+  * The only Spark work is one aggregation per drill-down: the group
+  * statistics over all parallel groups (`groups`). Hierarchy relations,
+  * main-effect features and the multi-level model are then built on the
+  * driver from those statistics, the model over the factorised
+  * representation of the feature matrix.
   */
 object Reptile {
 
@@ -87,6 +98,44 @@ object Reptile {
         sum(col(measure)).cast("double").as("stat_sum"),
       )
 
+  /** The drill-down groups over `used` (each hierarchy with its drilled
+    * depth): one `drilldownStats` collect, decoded once, with every
+    * hierarchy relation projected from the group keys on the driver.
+    */
+  def groups(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Groups = {
+    val attrs = used.flatMap { case (d, dep) => d.attrs.take(dep) }
+    val k = attrs.size
+    val observed = drilldownStats(fact, attrs, measure).collect().map { r =>
+      Vector.tabulate(k)(i => String.valueOf(r.get(i))) ->
+        GroupStats(r.getDouble(k), r.getDouble(k + 1), r.getDouble(k + 2))
+    }.toMap
+    val offsets = used.scanLeft(0)(_ + _._2)
+    val hiers = used.zipWithIndex.map { case ((d, dep), h) =>
+      HierRelation(d.name, d.attrs.take(dep), observed.keySet.map(_.slice(offsets(h), offsets(h + 1))).toSeq)
+    }
+    Groups(hiers, attrs, observed)
+  }
+
+  /** The hierarchies a drill-down of `targetDim` groups by, each with its
+    * depth: the drilled non-target dimensions first and the drill-down
+    * hierarchy last (Section 3.4's attribute-ordering restriction).
+    */
+  def drilldownDims(dims: Vector[Dimension], drilled: Map[String, Int], targetDim: String): Vector[(Dimension, Int)] = {
+    val target = dims.find(_.name == targetDim)
+      .getOrElse(throw new IllegalArgumentException(s"unknown dimension $targetDim"))
+    val tDepth = drilled.getOrElse(targetDim, 0) + 1
+    require(tDepth <= target.attrs.size, s"dimension $targetDim fully drilled")
+    val others = dims.filter(d => d.name != targetDim && drilled.getOrElse(d.name, 0) > 0)
+    others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))
+  }
+
+  /** The value a model of `kind` fits for a group: the statistic, log1p
+    * transformed when `cfg.logTransform` is set. It is both y and the
+    * quantity whose medians are the main-effect features.
+    */
+  def yOf(kind: StatKind, cfg: ReptileConfig): GroupStats => Double =
+    if (cfg.logTransform) g => math.log1p(math.max(kind.of(g), 0.0)) else kind.of
+
   /** Ranks the drill-down groups of one target hierarchy. */
   def rankDim(
       spark: SparkSession,
@@ -100,43 +149,21 @@ object Reptile {
       aux: Seq[AuxDataset] = Nil,
       cfg: ReptileConfig = ReptileConfig(),
   ): DimRankResult = {
-    val target = dims.find(_.name == targetDim)
-      .getOrElse(throw new IllegalArgumentException(s"unknown dimension $targetDim"))
-    val tDepth = drilled.getOrElse(targetDim, 0) + 1
-    require(tDepth <= target.attrs.size, s"dimension $targetDim fully drilled")
-
-    // Hierarchy order: drilled non-target dims first, the drill-down
-    // hierarchy last (Section 3.4's attribute-ordering restriction).
-    val others = dims.filter(d => d.name != targetDim && drilled.getOrElse(d.name, 0) > 0)
-    val used: Vector[(Dimension, Int)] =
-      (others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))).toVector
-    val hiers = used.map { case (d, dep) => HierRelation.fromDataFrame(fact, d.name, d.attrs.take(dep)) }
-    val allAttrs: Vector[String] = used.flatMap { case (d, dep) => d.attrs.take(dep).toVector }
-
-    val statsDf = drilldownStats(fact, allAttrs, measure).cache()
+    val used = drilldownDims(dims, drilled, targetDim)
+    val (target, tDepth) = used.last
+    val Groups(hiers, allAttrs, observed) = groups(fact, used, measure)
 
     val kinds: Seq[StatKind] = complaint.agg match {
       case AggType.Count => Seq(StatKind.CountStat)
-      case AggType.Mean  => Seq(StatKind.MeanStat)
-      case AggType.Std   => Seq(StatKind.MeanStat)
+      case AggType.Mean | AggType.Std => Seq(StatKind.MeanStat)
       case AggType.Sum =>
         if (cfg.sumDirect) Seq(StatKind.SumStat) else Seq(StatKind.CountStat, StatKind.MeanStat)
     }
 
-    // Observed group statistics, keyed by the attr-value tuple.
-    val observed: Map[Vector[String], GroupStats] = statsDf.collect().map { r =>
-      val key = allAttrs.indices.map(i => String.valueOf(r.get(i))).toVector
-      val base = allAttrs.size
-      key -> GroupStats(r.getDouble(base), r.getDouble(base + 1), r.getDouble(base + 2))
-    }.toMap
-
     // One model per statistic kind, all over the same hierarchies.
     val perKind: Map[StatKind, (FactorizedMatrix, Array[Double])] = kinds.map { kind =>
-      val tCol = s"y_${kind.name}"
-      val withY =
-        if (cfg.logTransform) statsDf.withColumn(tCol, log1p(greatest(col(kind.col), lit(0.0))))
-        else statsDf.withColumn(tCol, col(kind.col))
-      val fcols = Featurizer.build(withY, hiers, tCol, aux, cfg.minParallel)
+      val yOfGroup = yOf(kind, cfg)
+      val fcols = Featurizer.build(observed.view.mapValues(yOfGroup), hiers, aux, cfg.minParallel)
       val fm = new FactorizedMatrix(hiers, fcols)
       val y = buildY(fm, hiers, allAttrs, observed, kind, cfg)
       kind -> (fm, predictions(fm, y, cfg))
@@ -144,43 +171,33 @@ object Reptile {
 
     // Candidate groups: siblings under the complaint tuple.
     val fm0 = perKind(kinds.head)._1
+    def filterOf(a: String): String =
+      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a"))
     val fixedRows: Vector[Int] = used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
-      val tuple = d.attrs.take(dep).map(a =>
-        filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a")))
-      hiers(h).rowIndexOf(tuple)
+      hiers(h).rowIndexOf(d.attrs.take(dep).map(filterOf))
     }
-    val parentPrefix = target.attrs.take(tDepth - 1).map(a =>
-      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a")))
+    val fixedKey = fixedRows.zipWithIndex.flatMap { case (r, h) => hiers(h).rows(r) }
     val tHier = hiers.last
-    val (cStart, cEnd) = tHier.blockOfPrefix(parentPrefix)
+    val (cStart, cEnd) = tHier.blockOfPrefix(target.attrs.take(tDepth - 1).map(filterOf))
 
-    val candidateRows = (cStart until cEnd).toVector
-    val candidates = candidateRows.map { r =>
+    val candidates = (cStart until cEnd).toVector.map { r =>
       val idx = fm0.indexOf(fixedRows :+ r)
-      val key = (used.dropRight(1).zipWithIndex.flatMap { case ((d, dep), h) => hiers(h).rows(fixedRows(h)) } ++
-        tHier.rows(r)).toVector
+      val key = fixedKey ++ tHier.rows(r)
       val obs = observed.getOrElse(key, GroupStats.empty)
       val preds: Map[String, Double] = kinds.map(k => k.name -> perKind(k)._2(idx)).toMap
-      val rep = repair(obs, preds, kinds)
-      val values = allAttrs.zip(key).toMap
-      (values, obs, rep, preds, idx)
+      (allAttrs.zip(key).toMap, obs, repair(obs, preds, kinds), preds)
     }
 
     val obsAll = candidates.map(_._2)
     val baselineScore = complaint.score(GroupStats.combine(obsAll))
     val primary = kinds.head
-    val scored = candidates.zipWithIndex.map { case ((values, obs, rep, preds, idx), ci) =>
+    val scored = candidates.zipWithIndex.map { case ((values, obs, rep, preds), ci) =>
       val combined = GroupStats.combine(obsAll.updated(ci, rep))
       val residual =
         if (kinds.size == 2) obs.sum - preds("count") * preds("mean") // SUM via count x mean
-        else primary match {
-          case StatKind.CountStat => obs.count - preds("count")
-          case StatKind.MeanStat  => obs.mean - preds("mean")
-          case StatKind.SumStat   => obs.sum - preds("sum")
-        }
+        else primary.of(obs) - preds(primary.name)
       Candidate(values, obs, rep, preds, complaint.score(combined), residual)
     }
-    statsDf.unpersist()
     DimRankResult(targetDim, target.attrs(tDepth - 1), scored, baselineScore)
   }
 
@@ -220,26 +237,19 @@ object Reptile {
       kind: StatKind,
       cfg: ReptileConfig,
   ): Array[Double] = {
-    val stat: GroupStats => Double = kind match {
-      case StatKind.CountStat => _.count
-      case StatKind.MeanStat  => _.mean
-      case StatKind.SumStat   => _.sum
-    }
-    val xform: Double => Double = if (cfg.logTransform) v => math.log1p(math.max(v, 0.0)) else identity
+    val yOfGroup = yOf(kind, cfg)
     val default = kind match {
       case StatKind.MeanStat =>
         if (observed.isEmpty) 0.0
-        else xform(observed.values.map(_.mean).sum / observed.size)
-      case _ => xform(0.0)
+        else yOfGroup(GroupStats(0.0, observed.values.map(_.mean).sum / observed.size, 0.0))
+      case _ => yOfGroup(GroupStats.empty)
     }
     val y = Array.fill(fm.n)(default)
     // Attribute offsets of each hierarchy inside the flat key.
-    val offsets = hiers.scanLeft(0)((acc, h) => acc + h.depth)
+    val offsets = hiers.scanLeft(0)(_ + _.depth)
     observed.foreach { case (key, gs) =>
-      val rowIdxs = hiers.indices.map { h =>
-        hiers(h).rowIndexOf(key.slice(offsets(h), offsets(h + 1)))
-      }
-      y(fm.indexOf(rowIdxs)) = xform(stat(gs))
+      val rowIdxs = hiers.indices.map(h => hiers(h).rowIndexOf(key.slice(offsets(h), offsets(h + 1))))
+      y(fm.indexOf(rowIdxs)) = yOfGroup(gs)
     }
     y
   }
@@ -272,18 +282,5 @@ object Reptile {
         g = if (g.count > 0) g.copy(mean = s / g.count) else GroupStats(1.0, s, 0.0)
     }
     g
-  }
-
-  /** The dense "materialize everything" pipeline used by the Figure 10
-    * baseline: identical model, but the feature matrix is materialized and
-    * every matrix operation runs over the dense representation.
-    */
-  def densePredictions(fm: FactorizedMatrix, y: Array[Double], cfg: ReptileConfig): Array[Double] = {
-    val bk: MLBackend = new DenseBackend(fm.materialize, fm.clusterRanges)
-    val raw =
-      if (cfg.multiLevel)
-        MultiLevelEM.predict(bk, MultiLevelEM.fit(bk, y, cfg.emIters, cfg.ridge, reColsFor(fm, cfg)))
-      else LinearModel.predict(bk, LinearModel.fit(bk, y, cfg.ridge))
-    if (cfg.logTransform) raw.map(v => math.max(math.expm1(v), 0.0)) else raw
   }
 }

@@ -2,14 +2,14 @@ package repro.exp
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import repro.core.fmatrix.FactorizedMatrix
-import repro.core.frep.HierRelation
 import repro.core.model.{DenseBackend, FactorizedBackend, MultiLevelEM}
 import repro.core.reptile._
 
 /** Figure 10: end-to-end runtime on Absentee-like and COMPAS-like data.
   *
   * Each invocation evaluates the predetermined drill-down attribute: the
-  * Spark side (group statistics + featurization) is shared; the model side
+  * data side (one Spark aggregation for the group statistics, then
+  * driver-side hierarchies and features) is shared; the model side
   * is timed twice — Reptile's factorised pipeline vs the "Matlab" pipeline
   * that materializes the full feature matrix and trains with dense ops.
   * Both run the same 20 EM iterations; only the matrix representation
@@ -58,27 +58,16 @@ object EndToEndExp {
     val rows = Vector.newBuilder[E2ERow]
 
     setup.drillOrder.zipWithIndex.foreach { case (targetName, inv) =>
-      val target = setup.dims.find(_.name == targetName).get
-      val tDepth = drilled.getOrElse(targetName, 0) + 1
-      val others = setup.dims.filter(d => d.name != targetName && drilled.getOrElse(d.name, 0) > 0)
-      val used = (others.map(d => (d, drilled(d.name))) :+ ((target, tDepth))).toVector
+      val used = Reptile.drilldownDims(setup.dims, drilled, targetName)
+      val (target, tDepth) = used.last
 
-      // ---- shared Spark side: hierarchies, statistics, features, y ----
-      val ((hiers, observed, fcols), sparkMs) = Timing.ms {
-        val hs = used.map { case (d, dep) => HierRelation.fromDataFrame(fact, d.name, d.attrs.take(dep)) }
-        val allAttrs = used.flatMap { case (d, dep) => d.attrs.take(dep).toVector }
-        val statsDf = Reptile.drilldownStats(fact, allAttrs, setup.measure).cache()
-        val obs = statsDf.collect().map { r =>
-          val key = allAttrs.indices.map(i => String.valueOf(r.get(i))).toVector
-          val base = allAttrs.size
-          key -> GroupStats(r.getDouble(base), r.getDouble(base + 1), r.getDouble(base + 2))
-        }.toMap
-        val withY = statsDf.withColumn("y_count", org.apache.spark.sql.functions.col("stat_count"))
-        val fc = Featurizer.build(withY, hs, "y_count", Nil, cfg.minParallel)
-        statsDf.unpersist()
-        (hs, obs, fc)
+      // ---- shared Spark side: one aggregation, then driver-side features ----
+      val ((groups, fcols), sparkMs) = Timing.ms {
+        val g = Reptile.groups(fact, used, setup.measure)
+        val yOfGroup = Reptile.yOf(StatKind.CountStat, cfg)
+        (g, Featurizer.build(g.observed.view.mapValues(yOfGroup), g.hiers, Nil, cfg.minParallel))
       }
-      val allAttrs = used.flatMap { case (d, dep) => d.attrs.take(dep).toVector }
+      val Groups(hiers, allAttrs, observed) = groups
 
       // ---- Reptile: factorised matrix + EM ----
       // y assembly is shared input preparation (both pipelines need it);
@@ -113,18 +102,14 @@ object EndToEndExp {
 
       // ---- drill: fix the target's new attribute to a concrete group ----
       val tHier = hiers.last
-      val parentPrefix = target.attrs.take(tDepth - 1).map(filters)
-      val (bs, be) = tHier.blockOfPrefix(parentPrefix)
+      val (bs, be) = tHier.blockOfPrefix(target.attrs.take(tDepth - 1).map(filters))
       val fixedRows = used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
         hiers(h).rowIndexOf(d.attrs.take(dep).map(filters))
       }
+      val fixedKey = fixedRows.zipWithIndex.flatMap { case (r, h) => hiers(h).rows(r) }
       // deterministic stand-in for the paper's "return a random group":
       // the candidate with the largest observed count (always non-empty).
-      val bestRow = (bs until be).maxBy { r =>
-        val key = (used.dropRight(1).zipWithIndex.flatMap { case (_, h) => hiers(h).rows(fixedRows(h)) } ++
-          tHier.rows(r)).toVector
-        observed.getOrElse(key, GroupStats.empty).count
-      }
+      val bestRow = (bs until be).maxBy(r => observed.getOrElse(fixedKey ++ tHier.rows(r), GroupStats.empty).count)
       val newAttr = target.attrs(tDepth - 1)
       filters += (newAttr -> tHier.rows(bestRow)(tDepth - 1))
       drilled += (targetName -> tDepth)

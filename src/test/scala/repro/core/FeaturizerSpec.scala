@@ -33,18 +33,19 @@ class FeaturizerSpec extends SparkSpec {
     )
   }
 
-  test("main effects are medians of the group statistic (vs DuckDB)") {
+  test("main effects are bit-identical to Spark's median of the group statistic") {
     val cols = Featurizer.build(statsDf, hiers, "y", Nil, minParallel = 2.0)
-    val tCol = cols.find(_.label == "main:t").get
-    val duck = {
-      // median over the drill-down groups of each t value
-      val grouped = statsDf.select($"t", $"y")
-      val med = grouped.groupBy($"t").agg(median($"y").as("med")).collect()
-        .map(r => r.getString(0) -> r.getDouble(1)).toMap
-      med
+    // d1 has 4 groups, so the even-count interpolation is covered too.
+    for (attr <- Seq("t", "d", "v")) {
+      val main = cols.find(_.label == s"main:$attr").get
+      val expected = statsDf.groupBy(col(attr)).agg(median($"y")).collect()
+      assert(expected.nonEmpty)
+      expected.foreach { r =>
+        val v = r.getString(0)
+        assert(java.lang.Double.doubleToRawLongBits(main.f(v)) == java.lang.Double.doubleToRawLongBits(r.getDouble(1)),
+          s"$attr=$v: ${main.f(v)} vs Spark ${r.getDouble(1)}")
+      }
     }
-    assert(tCol.f("t1") == duck("t1"))
-    assert(tCol.f("t2") == duck("t2"))
   }
 
   test("intercept is always the first column") {
