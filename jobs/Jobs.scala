@@ -74,10 +74,13 @@ object MultiQueryFig8Job {
   }
 }
 
-/** Figure 9: drill-down optimization strategies. */
+/** Figure 9: one shared aggregation vs one per candidate drill-down. */
 object DrilldownFig9Job {
-  def main(args: Array[String]): Unit =
-    DrilldownExp.printRows(DrilldownExp.run())
+  def main(args: Array[String]): Unit = {
+    val spark = Jobs.session("fig9")
+    try DrilldownExp.printRows(DrilldownExp.run(spark))
+    finally spark.stop()
+  }
 }
 
 /** Figure 10: end-to-end runtime on Absentee-like and COMPAS-like data. */

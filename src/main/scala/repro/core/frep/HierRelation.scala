@@ -61,16 +61,6 @@ final class HierRelation private (
     segs.result()
   }
 
-  /** COUNT_{A_i} restricted to this hierarchy: leaves per value. */
-  def countOf(ai: Int): Map[String, Int] = segments(ai).map(s => s.value -> s.len).toMap
-
-  /** COF_{A_i, A_j} restricted to this hierarchy (both attrs inside it). */
-  def cofWithin(ai: Int, aj: Int): Map[(String, String), Int] = {
-    val m = scala.collection.mutable.HashMap.empty[(String, String), Int]
-    rows.foreach { r => val k = (r(ai), r(aj)); m.update(k, m.getOrElse(k, 0) + 1) }
-    m.toMap
-  }
-
   /** Blocks of rows sharing the full prefix `A_1..A_{k-1}` — i.e. the
     * children groups ("clusters") of the most specific attribute. A
     * single-attribute hierarchy has one block covering all rows.
@@ -88,13 +78,6 @@ final class HierRelation private (
       }
       blocks.result()
     }
-
-  /** Distinct prefixes of the first `d` attributes, as a new relation. */
-  def truncate(d: Int): HierRelation = {
-    require(d >= 1 && d <= attrs.size, s"bad truncate depth $d for $dim")
-    if (d == attrs.size) this
-    else HierRelation(dim, attrs.take(d), rows.map(_.take(d)))
-  }
 
   lazy val indexByRow: Map[Vector[String], Int] = rows.zipWithIndex.toMap
 

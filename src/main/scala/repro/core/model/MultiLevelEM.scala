@@ -67,7 +67,6 @@ object MultiLevelEM {
     while (it < iters) {
       // E-step (accumulates the M-step's Sigma and trace terms on the fly)
       val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      resid = sub(y, bk.xv(beta))
       val xtr = bk.clusterXtv(resid) // X_i^T (y_i - X_i beta); slice to Z columns
       val newBs = new Array[Array[Double]](g)
       val sigAcc = new Array[Double](s * s)
@@ -132,9 +131,9 @@ object MultiLevelEM {
       val zb = bk.clusterXa(bs.map(pad(_, re, m)))
       beta = gramInv.mv(bk.xtv(sub(y, zb)))
       sigma = new Mat(s, s, sigAcc.map(_ / g))
-      val r = sub(y, bk.xv(beta))
-      val rr = Mat.dot(r, r)
-      val rzb = Mat.dot(r, zb)
+      resid = sub(y, bk.xv(beta)) // also the next E-step's residual
+      val rr = Mat.dot(resid, resid)
+      val rzb = Mat.dot(resid, zb)
       sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12)
       it += 1
     }

@@ -1,6 +1,6 @@
 package repro.core.reptile
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.{Column, DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import repro.core.fmatrix.FactorizedMatrix
 import repro.core.frep.HierRelation
@@ -77,50 +77,75 @@ final case class Groups(
 
 /** The complaint-based drill-down engine (Problem 1).
   *
-  * The only Spark work is one aggregation per drill-down: the group
-  * statistics over all parallel groups (`groups`). Hierarchy relations,
-  * main-effect features and the multi-level model are then built on the
-  * driver from those statistics, the model over the factorised
-  * representation of the feature matrix.
+  * The only Spark work of an engine call is one aggregation: the group
+  * statistics over all parallel groups of every drill-down the call
+  * evaluates (`groups`). Hierarchy relations, main-effect features and the
+  * multi-level model are then built on the driver from those statistics,
+  * the model over the factorised representation of the feature matrix.
   */
 object Reptile {
+
+  /** The distributive set (count / mean / std / sum) of a group. */
+  private def statAggs(measure: String): Seq[Column] = Seq(
+    count(lit(1)).cast("double").as("stat_count"),
+    avg(col(measure)).as("stat_mean"),
+    coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
+    sum(col(measure)).cast("double").as("stat_sum"),
+  )
 
   /** Group statistics for a drill-down: one Spark groupBy over the fact
     * table computing the whole distributive set (count / mean / std / sum).
     */
   def drilldownStats(fact: DataFrame, attrs: Seq[String], measure: String): DataFrame =
-    fact
-      .groupBy(attrs.map(col): _*)
-      .agg(
-        count(lit(1)).cast("double").as("stat_count"),
-        avg(col(measure)).as("stat_mean"),
-        coalesce(stddev_samp(col(measure)), lit(0.0)).as("stat_std"),
-        sum(col(measure)).cast("double").as("stat_sum"),
-      )
+    fact.groupBy(attrs.map(col): _*).agg(statAggs(measure).head, statAggs(measure).tail: _*)
 
-  /** The drill-down groups over `used` (each hierarchy with its drilled
-    * depth): one `drilldownStats` collect, decoded once, with every
-    * hierarchy relation projected from the group keys on the driver.
+  /** The groups of each drill-down in `drilldowns` (hierarchies with their
+    * drilled depths), from one Spark aggregation. One drill-down runs
+    * `drilldownStats`; several run one grouping-sets query over the union
+    * of their attributes (the multi-group-by of Gray et al., "Data Cube"),
+    * whose `grouping_id()` tells the sets apart. Each drill-down's rows are
+    * decoded on the driver, and its hierarchy relations are projected from
+    * its group keys.
     */
-  def groups(fact: DataFrame, used: Vector[(Dimension, Int)], measure: String): Groups = {
-    val attrs = used.flatMap { case (d, dep) => d.attrs.take(dep) }
-    val k = attrs.size
-    val observed = drilldownStats(fact, attrs, measure).collect().map { r =>
-      Vector.tabulate(k)(i => String.valueOf(r.get(i))) ->
-        GroupStats(r.getDouble(k), r.getDouble(k + 1), r.getDouble(k + 2))
-    }.toMap
-    val offsets = used.scanLeft(0)(_ + _._2)
-    val hiers = used.zipWithIndex.map { case ((d, dep), h) =>
-      HierRelation(d.name, d.attrs.take(dep), observed.keySet.map(_.slice(offsets(h), offsets(h + 1))).toSeq)
+  def groups(fact: DataFrame, drilldowns: Seq[Vector[(Dimension, Int)]], measure: String): Vector[Groups] = {
+    val attrsOf = drilldowns.toVector.map(_.flatMap { case (d, dep) => d.attrs.take(dep) })
+    val union = attrsOf.flatten.distinct
+    val shared = attrsOf.size > 1
+    val rows =
+      if (!shared) drilldownStats(fact, union, measure).collect()
+      else {
+        val sets = attrsOf.map(as => union.filter(as.contains)).distinct
+        val aggs = grouping_id() +: statAggs(measure)
+        fact.groupingSets(sets.map(_.map(col)), union.map(col): _*).agg(aggs.head, aggs.tail: _*).collect()
+      }
+    val statAt = if (shared) union.size + 1 else union.size
+    drilldowns.toVector.zip(attrsOf).map { case (used, attrs) =>
+      // grouping_id(): one bit per union column, the first one most
+      // significant, set when the column is not grouped.
+      val gid = union.foldLeft(0L)((id, a) => 2 * id + (if (attrs.contains(a)) 0 else 1))
+      val cols = attrs.map(union.indexOf(_))
+      val observed = rows.iterator.filter(r => !shared || r.getLong(union.size) == gid).map { r =>
+        val key = cols.map(i => String.valueOf(r.get(i)))
+        require(!r.isNullAt(statAt + 1), s"measure $measure is null in every row of group ${key.mkString(",")}")
+        key -> GroupStats(r.getDouble(statAt), r.getDouble(statAt + 1), r.getDouble(statAt + 2))
+      }.toMap
+      val offsets = used.scanLeft(0)(_ + _._2)
+      val hiers = used.zipWithIndex.map { case ((d, dep), h) =>
+        HierRelation(d.name, d.attrs.take(dep), observed.keySet.map(_.slice(offsets(h), offsets(h + 1))).toSeq)
+      }
+      Groups(hiers, attrs, observed)
     }
-    Groups(hiers, attrs, observed)
   }
 
   /** The hierarchies a drill-down of `targetDim` groups by, each with its
     * depth: the drilled non-target dimensions first and the drill-down
     * hierarchy last (Section 3.4's attribute-ordering restriction).
+    * Dimension names must be distinct, and so must all their attributes.
     */
   def drilldownDims(dims: Vector[Dimension], drilled: Map[String, Int], targetDim: String): Vector[(Dimension, Int)] = {
+    def duplicate(xs: Vector[String]) = xs.diff(xs.distinct).headOption
+    duplicate(dims.map(_.name)).foreach(d => throw new IllegalArgumentException(s"duplicate dimension $d"))
+    duplicate(dims.flatMap(_.attrs)).foreach(a => throw new IllegalArgumentException(s"attribute $a is in two dimensions"))
     val target = dims.find(_.name == targetDim)
       .getOrElse(throw new IllegalArgumentException(s"unknown dimension $targetDim"))
     val tDepth = drilled.getOrElse(targetDim, 0) + 1
@@ -150,8 +175,48 @@ object Reptile {
       cfg: ReptileConfig = ReptileConfig(),
   ): DimRankResult = {
     val used = drilldownDims(dims, drilled, targetDim)
-    val (target, tDepth) = used.last
-    val Groups(hiers, allAttrs, observed) = groups(fact, used, measure)
+    requireFilters(dims, drilled, filters)
+    rank(groups(fact, Seq(used), measure).head, filters, complaint, aux, cfg)
+  }
+
+  /** Ranks every candidate drill-down hierarchy and orders them by how
+    * much their best group repair resolves the complaint. All candidate
+    * drill-downs share one Spark aggregation.
+    */
+  def recommend(
+      spark: SparkSession,
+      fact: DataFrame,
+      dims: Vector[Dimension],
+      drilled: Map[String, Int],
+      filters: Map[String, String],
+      complaint: Complaint,
+      measure: String,
+      aux: Seq[AuxDataset] = Nil,
+      cfg: ReptileConfig = ReptileConfig(),
+  ): Vector[DimRankResult] = {
+    val eligible = dims.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size)
+    require(eligible.nonEmpty, "no hierarchy left to drill down")
+    val drilldowns = eligible.map(d => drilldownDims(dims, drilled, d.name))
+    requireFilters(dims, drilled, filters)
+    groups(fact, drilldowns, measure).map(rank(_, filters, complaint, aux, cfg)).sortBy(_.best.score)
+  }
+
+  /** Every drilled attribute needs its provenance filter. */
+  private def requireFilters(dims: Vector[Dimension], drilled: Map[String, Int], filters: Map[String, String]): Unit =
+    for (d <- dims; a <- d.attrs.take(drilled.getOrElse(d.name, 0)))
+      require(filters.contains(a), s"filter missing for drilled attr $a")
+
+  /** The driver-side ranking of one drill-down's groups; its last
+    * hierarchy is the one drilled into.
+    */
+  private def rank(
+      g: Groups,
+      filters: Map[String, String],
+      complaint: Complaint,
+      aux: Seq[AuxDataset],
+      cfg: ReptileConfig,
+  ): DimRankResult = {
+    val Groups(hiers, allAttrs, observed) = g
 
     val kinds: Seq[StatKind] = complaint.agg match {
       case AggType.Count => Seq(StatKind.CountStat)
@@ -159,6 +224,12 @@ object Reptile {
       case AggType.Sum =>
         if (cfg.sumDirect) Seq(StatKind.SumStat) else Seq(StatKind.CountStat, StatKind.MeanStat)
     }
+
+    // Candidate groups: siblings under the complaint tuple.
+    val fixedRows = hiers.init.map(h => blockUnder(h, h.attrs.map(filters))._1)
+    val fixedKey = fixedRows.zipWithIndex.flatMap { case (r, h) => hiers(h).rows(r) }
+    val tHier = hiers.last
+    val (cStart, cEnd) = blockUnder(tHier, tHier.attrs.init.map(filters))
 
     // One model per statistic kind, all over the same hierarchies.
     val perKind: Map[StatKind, (FactorizedMatrix, Array[Double])] = kinds.map { kind =>
@@ -169,17 +240,7 @@ object Reptile {
       kind -> (fm, predictions(fm, y, cfg))
     }.toMap
 
-    // Candidate groups: siblings under the complaint tuple.
     val fm0 = perKind(kinds.head)._1
-    def filterOf(a: String): String =
-      filters.getOrElse(a, throw new IllegalArgumentException(s"filter missing for drilled attr $a"))
-    val fixedRows: Vector[Int] = used.dropRight(1).zipWithIndex.map { case ((d, dep), h) =>
-      hiers(h).rowIndexOf(d.attrs.take(dep).map(filterOf))
-    }
-    val fixedKey = fixedRows.zipWithIndex.flatMap { case (r, h) => hiers(h).rows(r) }
-    val tHier = hiers.last
-    val (cStart, cEnd) = tHier.blockOfPrefix(target.attrs.take(tDepth - 1).map(filterOf))
-
     val candidates = (cStart until cEnd).toVector.map { r =>
       val idx = fm0.indexOf(fixedRows :+ r)
       val key = fixedKey ++ tHier.rows(r)
@@ -198,29 +259,16 @@ object Reptile {
         else primary.of(obs) - preds(primary.name)
       Candidate(values, obs, rep, preds, complaint.score(combined), residual)
     }
-    DimRankResult(targetDim, target.attrs(tDepth - 1), scored, baselineScore)
+    DimRankResult(tHier.dim, tHier.attrs.last, scored, baselineScore)
   }
 
-  /** Ranks every candidate drill-down hierarchy and orders them by how
-    * much their best group repair resolves the complaint.
+  /** The row block of `h` whose first attributes hold the filter values
+    * `vals`; a value that no group of `h` has is rejected by name.
     */
-  def recommend(
-      spark: SparkSession,
-      fact: DataFrame,
-      dims: Vector[Dimension],
-      drilled: Map[String, Int],
-      filters: Map[String, String],
-      complaint: Complaint,
-      measure: String,
-      aux: Seq[AuxDataset] = Nil,
-      cfg: ReptileConfig = ReptileConfig(),
-  ): Vector[DimRankResult] = {
-    val eligible = dims.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size)
-    require(eligible.nonEmpty, "no hierarchy left to drill down")
-    eligible
-      .map(d => rankDim(spark, fact, dims, drilled, filters, complaint, measure, d.name, aux, cfg))
-      .sortBy(_.best.score)
-      .toVector
+  private def blockUnder(h: HierRelation, vals: Vector[String]): (Int, Int) = {
+    for (i <- vals.indices.find(i => !h.rows.exists(_.startsWith(vals.take(i + 1)))))
+      throw new IllegalArgumentException(s"filter ${h.attrs(i)} = ${vals(i)} matches no group")
+    h.blockOfPrefix(vals)
   }
 
   // ------------------------------------------------------------ internals

@@ -23,8 +23,8 @@ object AicExp {
       aux: AuxDataset,
       emIters: Int,
   ): Vector[(String, Double)] = {
-    val Groups(hiers, allAttrs, observed) =
-      Reptile.groups(fact, dims.map { case (d, attrs) => (Dimension(d, attrs), attrs.size) }, measure)
+    val used = dims.map { case (d, attrs) => (Dimension(d, attrs), attrs.size) }
+    val Groups(hiers, allAttrs, observed) = Reptile.groups(fact, Seq(used), measure).head
     val cfg = ReptileConfig(emIters = emIters)
     val ys = observed.view.mapValues(Reptile.yOf(StatKind.MeanStat, cfg))
 

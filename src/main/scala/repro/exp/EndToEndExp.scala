@@ -63,7 +63,7 @@ object EndToEndExp {
 
       // ---- shared Spark side: one aggregation, then driver-side features ----
       val ((groups, fcols), sparkMs) = Timing.ms {
-        val g = Reptile.groups(fact, used, setup.measure)
+        val g = Reptile.groups(fact, Seq(used), setup.measure).head
         val yOfGroup = Reptile.yOf(StatKind.CountStat, cfg)
         (g, Featurizer.build(g.observed.view.mapValues(yOfGroup), g.hiers, Nil, cfg.minParallel))
       }

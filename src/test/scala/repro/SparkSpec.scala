@@ -1,8 +1,10 @@
 package repro
 
+import org.apache.spark.ListenerBusDrain
 import org.apache.spark.sql.SparkSession
 import org.scalatest.BeforeAndAfterAll
 import org.scalatest.funsuite.AnyFunSuite
+import repro.perfbench.SparkCounters
 
 /** Base for every test: one local-mode SparkSession for the whole run.
   *
@@ -14,6 +16,16 @@ import org.scalatest.funsuite.AnyFunSuite
   */
 trait SparkSpec extends AnyFunSuite with BeforeAndAfterAll {
   lazy val spark: SparkSession = SparkSpec.shared
+
+  /** The number of Spark jobs `body` starts. */
+  def sparkJobs(body: => Any): Long = {
+    val sc = spark.sparkContext
+    val counters = new SparkCounters
+    ListenerBusDrain(sc)
+    sc.addSparkListener(counters)
+    try { body; ListenerBusDrain(sc); counters.snapshot.jobs }
+    finally sc.removeSparkListener(counters)
+  }
 
   override def afterAll(): Unit = { super.afterAll() }
 }

@@ -17,11 +17,6 @@ class HierRelationSpec extends SparkSpec {
     assert(dup.total == 2)
   }
 
-  test("countOf counts leaves per value") {
-    assert(geo.countOf(0) == Map("ofla" -> 3, "raya" -> 2))
-    assert(geo.countOf(1).values.forall(_ == 1))
-  }
-
   test("segments are contiguous and cover all rows") {
     geo.segments.foreach { segs =>
       assert(segs.map(_.len).sum == geo.total)
@@ -44,25 +39,10 @@ class HierRelationSpec extends SparkSpec {
     assert(ex.getMessage.contains("FD violation"))
   }
 
-  test("cofWithin counts pairs") {
-    val h = HierRelation("h", Seq("a", "b", "c"), Seq(
-      Seq("a1", "b1", "c1"), Seq("a1", "b1", "c2"), Seq("a1", "b2", "c3"), Seq("a2", "b3", "c4"),
-    ))
-    assert(h.cofWithin(0, 1) == Map(("a1", "b1") -> 2, ("a1", "b2") -> 1, ("a2", "b3") -> 1))
-    assert(h.cofWithin(0, 2).values.forall(_ == 1))
-  }
-
   test("parentBlocks groups children of the most specific attribute") {
     assert(geo.parentBlocks == Vector((0, 3), (3, 2)))
     val single = HierRelation("s", Seq("a"), Seq(Seq("x"), Seq("y")))
     assert(single.parentBlocks == Vector((0, 2)))
-  }
-
-  test("truncate produces distinct prefixes") {
-    val t = geo.truncate(1)
-    assert(t.total == 2)
-    assert(t.rows == Vector(Vector("ofla"), Vector("raya")))
-    assert(geo.truncate(2) eq geo)
   }
 
   test("rowIndexOf and blockOfPrefix") {

@@ -147,12 +147,80 @@ class ReptileSpec extends SparkSpec {
 
   test("missing filters for drilled attributes are rejected") {
     val fact = panel(8).toDF("year", "district", "village", "sev")
-    intercept[IllegalArgumentException] {
-      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
-        filters = Map("district" -> "ofla"), // year missing
-        complaint = Complaint(AggType.Mean, Direction.TooLow),
-        measure = "sev", targetDim = "geo", cfg = cfg)
+    val jobs = sparkJobs {
+      intercept[IllegalArgumentException] {
+        Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+          filters = Map("district" -> "ofla"), // year missing
+          complaint = Complaint(AggType.Mean, Direction.TooLow),
+          measure = "sev", targetDim = "geo", cfg = cfg)
+      }
+      val e = intercept[IllegalArgumentException] {
+        Reptile.recommend(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1),
+          filters = Map("year" -> "1986"), // district missing
+          complaint = Complaint(AggType.Mean, Direction.TooLow), measure = "sev", cfg = cfg)
+      }
+      assert(e.getMessage.contains("district"))
     }
+    assert(jobs == 0, "the filters are checked before any Spark job")
+  }
+
+  test("a dimension name given twice is rejected before any Spark job") {
+    val fact = panel(8).toDF("year", "district", "village", "sev")
+    val twice = dims :+ Dimension("time", Vector("village"))
+    val jobs = sparkJobs {
+      val e = intercept[IllegalArgumentException] {
+        Reptile.rankDim(spark, fact, twice, drilled = Map.empty, filters = Map.empty,
+          complaint = Complaint(AggType.Mean, Direction.TooLow), measure = "sev", targetDim = "geo", cfg = cfg)
+      }
+      assert(e.getMessage.contains("duplicate dimension time"))
+    }
+    assert(jobs == 0)
+  }
+
+  test("an attribute in two dimensions is rejected before any Spark job") {
+    val fact = panel(8).toDF("year", "district", "village", "sev")
+    val shared = dims :+ Dimension("place", Vector("village"))
+    val jobs = sparkJobs {
+      val e = intercept[IllegalArgumentException] {
+        Reptile.recommend(spark, fact, shared, drilled = Map("time" -> 1), filters = Map("year" -> "1986"),
+          complaint = Complaint(AggType.Mean, Direction.TooLow), measure = "sev", cfg = cfg)
+      }
+      assert(e.getMessage.contains("attribute village is in two dimensions"))
+    }
+    assert(jobs == 0)
+  }
+
+  test("a filter value that matches no group is rejected by attribute and value") {
+    val fact = panel(8).toDF("year", "district", "village", "sev")
+    def rank(filters: Map[String, String]) = intercept[IllegalArgumentException] {
+      Reptile.rankDim(spark, fact, dims, drilled = Map("time" -> 1, "geo" -> 1), filters = filters,
+        complaint = Complaint(AggType.Mean, Direction.TooLow), measure = "sev", targetDim = "geo", cfg = cfg)
+    }.getMessage
+    assert(rank(Map("year" -> "1999", "district" -> "ofla")).contains("year = 1999"))
+    assert(rank(Map("year" -> "1986", "district" -> "nowhere")).contains("district = nowhere"))
+  }
+
+  test("recommend equals rankDim per eligible hierarchy, ordered by best score") {
+    // Three eligible hierarchies (geo has two levels), a SUM complaint
+    // fitted as count x mean, and rainfall joined on the district.
+    val rng = new Random(11)
+    val crops = Vector("barley", "teff", "wheat")
+    val rows = panel(11, perGroup = 4).flatMap { case (y, d, v, m) =>
+      crops.map(c => (y, d, v, c, m + (if (c == "teff") 1.0 else 0.0) + rng.nextGaussian() * 0.3))
+    }
+    val fact = rows.toDF("year", "district", "village", "crop", "sev")
+    val rain = Seq("alaje" -> 410.0, "bora" -> 380.0, "ofla" -> 150.0, "raya" -> 520.0).toDF("district", "rainfall")
+    val aux = Seq(AuxDataset("rain", rain, "district", "rainfall"))
+    val all = dims :+ Dimension("crop", Vector("crop"))
+    val (drilled, filters) = (Map("geo" -> 1), Map("district" -> "ofla"))
+    val complaint = Complaint(AggType.Sum, Direction.TooLow)
+    val sumCfg = cfg.copy(sumDirect = false)
+    val shared = Reptile.recommend(spark, fact, all, drilled, filters, complaint, "sev", aux, sumCfg)
+    val eligible = all.filter(d => drilled.getOrElse(d.name, 0) < d.attrs.size)
+    assert(eligible.size == 3)
+    val each = eligible.map(d => Reptile.rankDim(spark, fact, all, drilled, filters, complaint, "sev", d.name, aux, sumCfg))
+    assert(shared == each.sortBy(_.best.score))
+    assert(shared.forall(_.best.predicted.keySet == Set("count", "mean")))
   }
 
   test("fully drilled dimensions cannot be drilled further") {
