@@ -6,6 +6,8 @@ import repro.core.linalg.Mat
   *   y_i = X_i beta + Z_i b_i + eps_i,  b_i ~ N(0, Sigma), eps ~ N(0, s2 I)
   * with Z_i = X_i[:, reCols] — the paper's tunable random-effect matrix
   * (Section 3.3.4); `reCols` defaults to all columns (Z_i = X_i).
+  * `ridgeEscalations` counts the cluster solves, over all iterations, that
+  * needed a larger ridge than the first one.
   */
 final case class MultiLevelFit(
     beta: Array[Double],
@@ -14,17 +16,24 @@ final case class MultiLevelFit(
     bs: Array[Array[Double]],
     reCols: Array[Int],
     iterations: Int,
+    ridgeEscalations: Int = 0,
 )
 
 /** EM training for the multi-level linear model over any MLBackend.
   *
-  * The loop is a straight transcription of Appendix D; all interactions
-  * with the feature matrix go through the backend's six matrix-operation
-  * primitives, so the same code trains over the factorised representation
-  * and over the materialized matrix. Restricting the random effects to a
-  * column subset S needs no extra backend support: Z_i^T v is the S-slice
-  * of X_i^T v, Z_i b is X_i b' with b' zero-padded outside S, and
-  * Z_i^T Z_i is the S x S submatrix of the cluster gram.
+  * The updates are Appendix D's, computed from sufficient statistics
+  * (the aggregate pushdown of factorised learning: Schleich, Olteanu and
+  * Ciucanu, SIGMOD 2016). Once per fit the backend supplies X^T X, the OLS
+  * fit beta0 with its residual r0 = y - X beta0, X^T r0, |r0|² and, per
+  * cluster i, the S rows of X_i^T X_i and the S-slice of X_i^T r0_i, where
+  * S is the random-effect column set. Every iteration is then one pass over
+  * the clusters, O(clusters · s · m) plus one s x s solve per cluster, and
+  * forms no n-vector. With beta = beta0 + d:
+  *   Z_i^T r_i  = (X_i^T r0_i)[S] - X_i^T X_i[S,:] d
+  *   d'         = -(X^T X)^-1 sum_i X_i^T Z_i b_i
+  *   |y - X beta|² = |r0|² - 2 d^T X^T r0 + d^T X^T X d
+  * Statistics of r0 rather than of y keep these quadratic forms free of
+  * cancellation when y is large against its residual.
   */
 object MultiLevelEM {
 
@@ -42,102 +51,154 @@ object MultiLevelEM {
     require(re.forall(j => j >= 0 && j < m), "bad random-effect column index")
     val s = re.length
 
-    // Precomputed once: X^T X (+ inverse) and per-cluster Z^T Z grams.
+    // Once per fit: X^T X (+ inverse), the OLS fit and the statistics of its residual.
     val gram = bk.gram
     val gramInv = Mat.ridgeInverse(gram, ridge)
-    val clusterGrams = new Array[Mat](g)
-    bk.foreachClusterGram((i, xtxi) => clusterGrams(i) = submatrix(xtxi, re))
+    val beta0 = gramInv.mv(bk.xtv(y))
+    val r0 = bk.xv(beta0)
+    var k = 0
+    while (k < r0.length) { r0(k) = y(k) - r0(k); k += 1 }
+    val xtr0 = bk.xtv(r0)
+    val rss0 = Mat.dot(r0, r0)
+    def rss(d: Array[Double]): Double = rss0 - 2.0 * Mat.dot(d, xtr0) + Mat.dot(d, gram.mv(d))
+    val stats = new ClusterStats(bk, r0, re)
 
-    // Init: OLS beta; residual variance; Sigma = sigma2 * I.
-    var beta = gramInv.mv(bk.xtv(y))
-    var resid = sub(y, bk.xv(beta))
-    var sigma2 = math.max(meanSq(resid), 1e-9)
+    // Init: OLS beta (d = 0); residual variance; Sigma = sigma2 * I.
+    var d = new Array[Double](m)
+    var sigma2 = math.max(rss0 / bk.n, 1e-9)
     var sigma = Mat.eye(s) * sigma2
-    var bs = Array.fill(g)(new Array[Double](s))
-
-    // Scratch buffers reused across the per-cluster E-step: the loop runs
-    // once per cluster per iteration, and allocating fresh matrices there
-    // dominates EM runtime with tens of thousands of clusters.
-    val wBuf = new Array[Double](s * s)
-    val vBuf = new Array[Double](s * s)
-    val muBuf = new Array[Double](s)
-    val bbtBuf = new Array[Double](s * s)
+    val bs = new Array[Double](g * s)
+    var escalations = 0
 
     var it = 0
     while (it < iters) {
-      // E-step (accumulates the M-step's Sigma and trace terms on the fly)
-      val sigmaInv = Mat.ridgeInverse(sigma, ridge)
-      val xtr = bk.clusterXtv(resid) // X_i^T (y_i - X_i beta); slice to Z columns
-      val newBs = new Array[Array[Double]](g)
-      val sigAcc = new Array[Double](s * s)
-      var trAcc = 0.0
+      // E-step, accumulating the M-step's sums on the fly
+      val sums = stats.eStep(d, sigma2, Mat.ridgeInverse(sigma, ridge), ridge, bs)
+      // M-step
+      d = gramInv.mv(sums.q).map(-_)
+      sigma = new Mat(s, s, sums.sig.map(_ / g))
+      val rzb = sums.a - Mat.dot(d, sums.q) // (y - X beta)^T Z b
+      sigma2 = math.max((rss(d) + sums.tr - 2.0 * rzb) / bk.n, 1e-12)
+      escalations += sums.escalations
+      it += 1
+    }
+    MultiLevelFit(Array.tabulate(m)(j => beta0(j) + d(j)), sigma, sigma2,
+      Array.tabulate(g)(i => bs.slice(i * s, i * s + s)), re, iters, escalations)
+  }
+
+  /** The E-step's contribution to the M-step, summed over clusters:
+    * sig = sum_i (V_i + b_i b_i^T), tr = sum_i tr(Z_i^T Z_i (V_i + b_i b_i^T)),
+    * q = sum_i X_i^T Z_i b_i and a = sum_i (Z_i^T r0_i) . b_i.
+    */
+  private final class Sums(val sig: Array[Double], var tr: Double, val q: Array[Double], var a: Double,
+                           var escalations: Int)
+
+  /** Per-cluster sufficient statistics, flattened over clusters: the S rows
+    * of X_i^T X_i (s x m, row-major) and the S-slice of X_i^T r0_i. That is
+    * g·s·(m+1) doubles.
+    */
+  private final class ClusterStats(bk: MLBackend, r0: Array[Double], re: Array[Int]) {
+    private val m = bk.m
+    private val g = bk.numClusters
+    private val s = re.length
+    private val gRows: Array[Double] = {
+      val out = new Array[Double](g * s * m)
+      bk.foreachClusterGram { (i, gi) =>
+        var k = 0
+        while (k < s) { System.arraycopy(gi.a, re(k) * m, out, (i * s + k) * m, m); k += 1 }
+      }
+      out
+    }
+    private val ztr0: Array[Double] = {
+      val xtr0i = bk.clusterXtv(r0)
+      Array.tabulate(g * s)(x => xtr0i(x / s)(re(x % s)))
+    }
+
+    /** One pass over the clusters: writes each b_i into `bs` and returns
+      * the sums.
+      */
+    def eStep(dBeta: Array[Double], sigma2: Double, sigmaInv: Mat, ridge: Double, bs: Array[Double]): Sums = {
+      val out = new Sums(new Array[Double](s * s), 0.0, new Array[Double](m), 0.0, 0)
+      val sigAcc = out.sig
+      val q = out.q
+      val zr = new Array[Double](s)
+      val wBuf = new Array[Double](s * s)
+      val vBuf = new Array[Double](s * s)
       var i = 0
       while (i < g) {
-        val gi = clusterGrams(i).a
-        // wBuf := G_i / sigma2 + Sigma^{-1} (+ escalating ridge on failure)
+        val gOff = i * s * m
+        // Z_i^T r_i = (X_i^T r0_i)[S] - X_i^T X_i[S,:] dBeta
+        var j = 0
+        while (j < s) {
+          var acc = ztr0(i * s + j)
+          var k = 0
+          while (k < m) { acc -= gRows(gOff + j * m + k) * dBeta(k); k += 1 }
+          zr(j) = acc
+          j += 1
+        }
+        // wBuf := Z_i^T Z_i / sigma2 + Sigma^{-1} (+ escalating ridge on failure)
         val scale = {
           var t = 0.0; var d = 0
-          while (d < s) { t += math.abs(gi(d * s + d) / sigma2 + sigmaInv(d, d)); d += 1 }
+          while (d < s) { t += math.abs(gRows(gOff + d * m + re(d)) / sigma2 + sigmaInv(d, d)); d += 1 }
           math.max(t / s, 1.0)
         }
         var lambda = math.max(ridge, 1e-12) * scale
         var ok = false
         var attempt = 0
         while (!ok && attempt < 6) {
-          var k = 0
-          while (k < s * s) { wBuf(k) = gi(k) / sigma2 + sigmaInv.a(k); k += 1 }
-          var d = 0
-          while (d < s) { wBuf(d * s + d) += lambda; d += 1 }
+          j = 0
+          while (j < s) {
+            var k = 0
+            while (k < s) { wBuf(j * s + k) = gRows(gOff + j * m + re(k)) / sigma2 + sigmaInv.a(j * s + k); k += 1 }
+            wBuf(j * s + j) += lambda
+            j += 1
+          }
           java.util.Arrays.fill(vBuf, 0.0)
-          d = 0
+          var d = 0
           while (d < s) { vBuf(d * s + d) = 1.0; d += 1 }
           ok = Mat.eliminate(wBuf, vBuf, s)
           lambda *= 1e3
           attempt += 1
         }
         require(ok, "cluster covariance not invertible")
-        // mu_i = V_i (X_i^T r_i) / sigma2
-        var j = 0
+        if (attempt > 1) out.escalations += 1
+        // b_i = V_i (Z_i^T r_i) / sigma2
+        val bOff = i * s
+        j = 0
         while (j < s) {
           var acc = 0.0
           var k = 0
-          while (k < s) { acc += vBuf(j * s + k) * xtr(i)(re(k)); k += 1 }
-          muBuf(j) = acc / sigma2
+          while (k < s) { acc += vBuf(j * s + k) * zr(k); k += 1 }
+          bs(bOff + j) = acc / sigma2
           j += 1
         }
-        newBs(i) = muBuf.clone()
-        // bbt_i = V_i + mu mu^T; fold into Sigma and trace accumulators
+        // V_i + b_i b_i^T into Sigma's sum, tr(Z_i^T Z_i (V_i + b_i b_i^T)) into the trace
+        var t = 0.0
         j = 0
         while (j < s) {
           var k = 0
           while (k < s) {
-            val bbt = vBuf(j * s + k) + muBuf(j) * muBuf(k)
-            bbtBuf(j * s + k) = bbt
+            val bbt = vBuf(j * s + k) + bs(bOff + j) * bs(bOff + k)
             sigAcc(j * s + k) += bbt
+            t += gRows(gOff + j * m + re(k)) * bbt
             k += 1
           }
           j += 1
         }
-        // Tr(G_i bbt_i) = sum_{jk} G_i[j,k] * bbt[k,j] (both symmetric)
-        var t = 0.0
-        var k = 0
-        while (k < s * s) { t += gi(k) * bbtBuf(k); k += 1 }
-        trAcc += t
+        out.tr += t
+        // X_i^T Z_i b_i into q, (Z_i^T r0_i) . b_i into a
+        j = 0
+        while (j < s) {
+          val bj = bs(bOff + j)
+          var k = 0
+          while (k < m) { q(k) += gRows(gOff + j * m + k) * bj; k += 1 }
+          out.a += ztr0(i * s + j) * bj
+          j += 1
+        }
         i += 1
       }
-      bs = newBs
-
-      // M-step
-      val zb = bk.clusterXa(bs.map(pad(_, re, m)))
-      beta = gramInv.mv(bk.xtv(sub(y, zb)))
-      sigma = new Mat(s, s, sigAcc.map(_ / g))
-      resid = sub(y, bk.xv(beta)) // also the next E-step's residual
-      val rr = Mat.dot(resid, resid)
-      val rzb = Mat.dot(resid, zb)
-      sigma2 = math.max((rr + trAcc - 2.0 * rzb) / bk.n, 1e-12)
-      it += 1
+      out
     }
-    MultiLevelFit(beta, sigma, sigma2, bs, re, iters)
   }
 
   /** yhat = X beta + Z b (fixed + random effects). */
@@ -176,13 +237,6 @@ object MultiLevelEM {
   }
 
   // ------------------------------------------------------------- helpers
-  private def submatrix(mt: Mat, idx: Array[Int]): Mat = {
-    val s = idx.length
-    val out = Mat.zeros(s, s)
-    var i = 0
-    while (i < s) { var j = 0; while (j < s) { out(i, j) = mt(idx(i), idx(j)); j += 1 }; i += 1 }
-    out
-  }
   private def subcolumns(mt: Mat, idx: Array[Int]): Mat = {
     val out = Mat.zeros(mt.rows, idx.length)
     var i = 0
@@ -195,16 +249,9 @@ object MultiLevelEM {
     while (i < idx.length) { out(idx(i)) = b(i); i += 1 }
     out
   }
-  private def sub(a: Array[Double], b: Array[Double]): Array[Double] = {
-    val out = new Array[Double](a.length)
-    var i = 0; while (i < a.length) { out(i) = a(i) - b(i); i += 1 }; out
-  }
   private def add(a: Array[Double], b: Array[Double]): Array[Double] = {
     val out = new Array[Double](a.length)
     var i = 0; while (i < a.length) { out(i) = a(i) + b(i); i += 1 }; out
-  }
-  private def meanSq(a: Array[Double]): Double = {
-    var s = 0.0; var i = 0; while (i < a.length) { s += a(i) * a(i); i += 1 }; s / math.max(a.length, 1)
   }
 }
 

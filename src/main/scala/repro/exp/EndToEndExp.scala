@@ -18,7 +18,8 @@ import repro.core.reptile._
 object EndToEndExp {
 
   final case class E2ERow(dataset: String, invocation: Int, target: String, n: Int, m: Int,
-                          clusters: Int, sparkMs: Double, reptileMs: Double, matlabMs: Double)
+                          clusters: Int, sparkMs: Double, reptileMs: Double, matlabMs: Double,
+                          predRelDiff: Double)
 
   final case class Setup(name: String, fact: SparkSession => DataFrame,
                          dims: Vector[Dimension], drillOrder: Vector[String], measure: String)
@@ -90,15 +91,18 @@ object EndToEndExp {
       val reptileMs = fmBuildMs + fitMs
 
       // ---- Matlab baseline: materialize + dense EM ----
-      val (_, matlabMs) = timedBest {
+      val (predsD, matlabMs) = timedBest {
         val x = fm.materialize
         val bk = new DenseBackend(x, fm.clusterRanges)
         val fit = MultiLevelEM.fit(bk, y, cfg.emIters, cfg.ridge)
         MultiLevelEM.predict(bk, fit)
       }
 
+      // max |factorised - dense| prediction, relative to the largest prediction
+      val predRelDiff = predsF.indices.map(i => math.abs(predsF(i) - predsD(i))).max /
+        math.max(predsF.map(math.abs).max, Double.MinPositiveValue)
       rows += E2ERow(setup.name, inv + 1, targetName, fm.n, fm.m, fm.numClusters,
-        sparkMs, reptileMs, matlabMs)
+        sparkMs, reptileMs, matlabMs, predRelDiff)
 
       // ---- drill: fix the target's new attribute to a concrete group ----
       val tHier = hiers.last
@@ -120,10 +124,11 @@ object EndToEndExp {
 
   def printRows(rows: Seq[E2ERow]): Unit = {
     Timing.printTable("Figure 10: end-to-end runtime (per invocation)",
-      Seq("dataset", "inv", "target", "n", "clusters", "spark_ms", "reptile_ms", "matlab_ms", "speedup"),
+      Seq("dataset", "inv", "target", "n", "clusters", "spark_ms", "reptile_ms", "matlab_ms", "speedup",
+        "pred_rel_diff"),
       rows.map(r => Seq(r.dataset, r.invocation.toString, r.target, r.n.toString, r.clusters.toString,
         Timing.f1(r.sparkMs), Timing.f1(r.reptileMs), Timing.f1(r.matlabMs),
-        Timing.f2(r.matlabMs / r.reptileMs) + "x")))
+        Timing.f2(r.matlabMs / r.reptileMs) + "x", f"${r.predRelDiff}%.1e")))
     rows.groupBy(_.dataset).foreach { case (ds, rs) =>
       val rSum = rs.map(_.reptileMs).sum; val mSum = rs.map(_.matlabMs).sum
       println(f"$ds totals: reptile ${rSum}%.1f ms  matlab ${mSum}%.1f ms  speedup ${mSum / rSum}%.2fx " +

@@ -110,6 +110,37 @@ class MultiLevelEMSpec extends SparkSpec {
     assert(MultiLevelEM.logLikelihood(bk, y, good) > MultiLevelEM.logLikelihood(bk, y, bad))
   }
 
+  /** EM never lowers the marginal log-likelihood (relative slack 1e-9). */
+  private def assertMonotone(bk: MLBackend, y: Array[Double], reCols: Option[Array[Int]]): Unit = {
+    val ll = (0 to 15).map(k => MultiLevelEM.logLikelihood(bk, y, MultiLevelEM.fit(bk, y, iters = k, reCols = reCols)))
+    ll.sliding(2).zipWithIndex.foreach { case (Seq(a, b), k) =>
+      assert(b >= a - 1e-9 * math.abs(a), s"log-likelihood fell from $a to $b at iteration ${k + 1}")
+    }
+    assert(ll.last > ll.head)
+  }
+
+  test("EM log-likelihood never decreases") {
+    val fm = fixture()
+    val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 1)
+    assertMonotone(new FactorizedBackend(fm), y, None)
+  }
+
+  test("EM log-likelihood never decreases on sparse data with random intercepts") {
+    val fm = fixture(nT = 5, nD = 4, nV = 6, seed = 21)
+    val rng = new Random(22)
+    // 85% of the groups are empty and take the default 0; the rest carry
+    // a cluster-level shift.
+    val y = synthY(fm, Array(4.0, 1.0, -0.5, 0.5), reSd = 2.0, noiseSd = 0.3, seed = 23)
+      .map(v => if (rng.nextDouble() < 0.85) 0.0 else v)
+    assertMonotone(new FactorizedBackend(fm), y, Some(Array(0)))
+  }
+
+  test("a well-conditioned fit needs no ridge escalation") {
+    val fm = fixture()
+    val y = synthY(fm, Array(1.0, 0.5, -0.3, 0.8), reSd = 0.5, noiseSd = 0.2, seed = 1)
+    assert(MultiLevelEM.fit(new FactorizedBackend(fm), y, iters = 15).ridgeEscalations == 0)
+  }
+
   test("LinearModel OLS matches the normal equations") {
     val fm = fixture(seed = 13)
     val rng = new Random(13)
